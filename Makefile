@@ -23,7 +23,7 @@ test:
 # requiring byte-identical results, event streams, and observer logs, plus
 # the physics property tests. See docs/PERFORMANCE.md.
 test-diff:
-	$(GO) test ./internal/core/difftest/ -v -run 'TestRunEquivalence|TestPrepEquivalence|TestEquivalenceWithWrongPrep|TestHybridExtentTrimEquivalence|TestArrayEquivalence|TestArrayMirrorMatchesSingle|TestResponseProperties|TestEnergyProperties|TestWarmSnapshotConservation|TestWearProperties|FuzzRunEquivalence'
+	$(GO) test ./internal/core/difftest/ -v -run 'TestRunEquivalence|TestPrepEquivalence|TestEquivalenceWithWrongPrep|TestHybridBoundaryEquivalence|TestArrayEquivalence|TestArrayMirrorMatchesSingle|TestResponseProperties|TestEnergyProperties|TestWarmSnapshotConservation|TestWearProperties|FuzzRunEquivalence'
 
 # Race-detector pass over the whole module; the parallel experiment sweeps
 # and shared observability scopes are what this guards.
@@ -42,7 +42,7 @@ bench-smoke:
 # The repo-root figure benchmarks replay full paper simulations, so one
 # iteration is a whole run; best-of-3 with a wider threshold than the
 # obsreport microbenchmarks (single-iteration full runs jitter more).
-FIGURE_BENCH = ^(BenchmarkTable[1-4]|BenchmarkFig[1-4]|BenchmarkFig2Seq|BenchmarkExtentCoalesce|BenchmarkIndex(BTree|LSM))
+FIGURE_BENCH = ^(BenchmarkTable[1-4]|BenchmarkFig[1-4]|BenchmarkFig2Seq|BenchmarkPrepareTrace|BenchmarkIndex(BTree|LSM))
 
 # Regression gate: re-measure the obsreport benchmarks and the paper-figure
 # benchmarks and fail when any gets slower or allocation-heavier than the

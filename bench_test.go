@@ -448,11 +448,11 @@ func BenchmarkSeedSensitivity(b *testing.B) {
 	}
 }
 
-// BenchmarkExtentCoalesce measures trace preprocessing — validation,
-// placement, and extent-run coalescing — over the largest generated
+// BenchmarkPrepareTrace measures trace preprocessing — validation,
+// placement hints, and per-record placement — over the largest generated
 // workload. The figure sweeps memoize PrepareTrace, so this pins its
-// standalone cost and the coalescer's throughput on a real record stream.
-func BenchmarkExtentCoalesce(b *testing.B) {
+// standalone cost on a real record stream.
+func BenchmarkPrepareTrace(b *testing.B) {
 	tr, err := experiments.Workload("mac", seed)
 	if err != nil {
 		b.Fatal(err)
@@ -469,9 +469,8 @@ func BenchmarkExtentCoalesce(b *testing.B) {
 
 // BenchmarkFig2Seq replays a sequential-heavy variant of the Figure 2
 // flash-card sweep: the dos generator pushed to a 0.95 sequential fraction
-// produces long byte-contiguous runs, the best case for extent batching.
-// (The real traces coalesce to mean run lengths of only 1.2–1.3, so this
-// bounds what batching can deliver rather than what the figures see.)
+// produces long byte-contiguous runs, so the figure benchmarks cover a
+// sequential access shape beside the paper traces' mostly random ones.
 func BenchmarkFig2Seq(b *testing.B) {
 	wc := workload.Dos(seed)
 	wc.Name = "dos-seq"

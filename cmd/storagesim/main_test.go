@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mobilestorage/internal/core"
@@ -11,6 +14,62 @@ import (
 	"mobilestorage/internal/units"
 	"mobilestorage/internal/workload"
 )
+
+// TestMain lets a test run this binary as the storagesim command: with
+// STORAGESIM_RUN_MAIN=1 in the environment the process runs main instead
+// of the tests, so the exit status and output are the command's own.
+func TestMain(m *testing.M) {
+	if os.Getenv("STORAGESIM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCommand runs storagesim with args and returns its combined output and
+// exit code.
+func runCommand(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "STORAGESIM_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return string(out), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), 0
+}
+
+// TestArrayRejectsRateOnlySystemPlan pins that -faults under -array is not
+// silently dropped: an array reads only power_fail_at_us from the system
+// plan, so a transient-error plan fails validation, while a power-fail-only
+// plan still runs.
+func TestArrayRejectsRateOnlySystemPlan(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	rates := write("er.json", `{"read_error_rate":0.2,"write_error_rate":0.2,"max_retries":3}`)
+	out, code := runCommand(t, "-trace", "dos", "-faults", rates, "-array", "mirror:2xflashcard")
+	if code == 0 {
+		t.Fatalf("rate-only system plan under -array exited 0:\n%s", out)
+	}
+	if !strings.Contains(out, "read_error_rate") || !strings.Contains(out, "MemberFaults") {
+		t.Errorf("error does not name the field and MemberFaults:\n%s", out)
+	}
+
+	power := write("pf.json", `{"power_fail_at_us":[1000000]}`)
+	if out, code := runCommand(t, "-trace", "dos", "-faults", power, "-array", "mirror:2xflashcard"); code != 0 {
+		t.Fatalf("power-fail-only plan under -array exited %d:\n%s", code, out)
+	}
+}
 
 func TestSelectDevice(t *testing.T) {
 	cases := []struct {

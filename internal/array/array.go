@@ -78,10 +78,6 @@ type Config struct {
 type member struct {
 	Member
 	name string
-	// ext caches the Dev's extentDevice assertion (nil when the device
-	// has no batched-extent capability); refreshed when a rebuild swaps
-	// the device.
-	ext extentDevice
 	// dead marks a member that is currently not serving; died marks a
 	// slot whose one death already fired (a rebuilt slot does not die
 	// twice — the replacement carries no fault plan).
@@ -112,9 +108,6 @@ type Array struct {
 
 	violations []string
 
-	// scratch is WriteExtent's reusable per-member completion buffer.
-	scratch []units.Time
-
 	// mayDie is true when any member has a death scheduled (die_at_us or
 	// die_after_erases) — the plans are static, so a false here means
 	// checkDeaths can never fire and is skipped entirely.
@@ -124,12 +117,6 @@ type Array struct {
 	// can happen (no scheduled deaths, no planned power failures) the
 	// per-write bookkeeping is pure overhead and is skipped.
 	trackAcks bool
-	// staticFast is true when the batched member-extent fast path is
-	// unconditionally safe: mirror mode, no member can ever die, every
-	// member extent-capable. Then no member is ever dead or rebuilding,
-	// so extentReady needs no per-call state checks and the read primary
-	// is always member 0.
-	staticFast bool
 
 	meter *energy.Meter // interface compliance; always empty — see Meters
 
@@ -182,26 +169,15 @@ func New(cfg Config, members []Member) (*Array, error) {
 		if m.Dev == nil {
 			return nil, fmt.Errorf("array: member %d has no device", i)
 		}
-		ext, _ := m.Dev.(extentDevice)
 		a.members = append(a.members, member{
 			Member: m,
 			name:   fmt.Sprintf("m%d:%s", i, m.Dev.Name()),
-			ext:    ext,
 		})
 		if m.Inj.DieAt() > 0 || m.Inj.DieAfterErases() > 0 {
 			a.mayDie = true
 		}
 	}
 	a.trackAcks = a.mayDie || len(cfg.SysInj.PowerFailSchedule()) > 0
-	if cfg.Mode == Mirror && !a.mayDie {
-		a.staticFast = true
-		for i := range a.members {
-			if a.members[i].ext == nil {
-				a.staticFast = false
-				break
-			}
-		}
-	}
 	a.evName = a.Name()
 	return a, nil
 }
@@ -356,7 +332,6 @@ func (a *Array) rebuild(i int, at units.Time) {
 	}
 	a.retired = append(a.retired, m.Dev)
 	m.Dev = dev
-	m.ext, _ = dev.(extentDevice)
 	m.dead = false
 	m.name = fmt.Sprintf("m%d:%s", i, dev.Name())
 	done := at
@@ -556,9 +531,10 @@ func (a *Array) accessMirror(req device.Request) units.Time {
 		return req.Time
 	case trace.Read:
 		p := 0
-		if !a.staticFast {
+		if a.mayDie {
 			// With deaths possible the primary must be re-resolved per
-			// read; a static mirror always reads member 0.
+			// read; otherwise no member is ever dead or rebuilding, so the
+			// primary is always member 0.
 			p = a.primaryAt(req.Time)
 			if p < 0 {
 				return req.Time // unreachable: the last member is never killed
@@ -636,101 +612,6 @@ func (a *Array) forEachShare(req device.Request, fn func(i int, sub device.Reque
 			Time: req.Time, Op: req.Op, File: req.File, Addr: local, Size: chunk,
 		})
 		addr += chunk
-	}
-}
-
-// extentDevice is the optional batched-extent capability members share
-// with the core replay loop (see stack.readExtent): a device's extent
-// method processes a coalesced run in one call, equivalent by construction
-// to Idle(reqs[k].Time) then Access(reqs[k]) per record.
-type extentDevice interface {
-	ReadExtent(reqs []device.Request, completions []units.Time)
-	WriteExtent(reqs []device.Request, completions []units.Time)
-}
-
-// extentReady reports whether the batched member-extent fast path is safe
-// at the given instant: mirror mode, every member alive, past any rebuild
-// read gate, with no death that could still fire mid-run, and extent-
-// capable. Anything else falls back to the per-record loop, which defines
-// the semantics.
-func (a *Array) extentReady(at units.Time) bool {
-	if a.staticFast {
-		// No member can ever die, so none is ever dead or rebuilding.
-		return true
-	}
-	if a.mode != Mirror {
-		return false
-	}
-	for i := range a.members {
-		m := &a.members[i]
-		if m.dead || m.readyAt > at {
-			return false
-		}
-		if !m.died && (m.Inj.DieAt() > 0 || m.Inj.DieAfterErases() > 0) {
-			return false
-		}
-		if m.ext == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// ReadExtent serves a coalesced read run. On the healthy-mirror fast path
-// the whole run forwards to the primary member's own extent loop — only
-// the primary serves reads, and the other members integrate their
-// background work at the next instant they are touched, which for a
-// time-integrating device is equivalent to integrating it record by
-// record.
-func (a *Array) ReadExtent(reqs []device.Request, completions []units.Time) {
-	if len(reqs) > 0 && a.extentReady(reqs[0].Time) {
-		p := 0
-		if !a.staticFast {
-			p = a.primaryAt(reqs[0].Time)
-		}
-		if p >= 0 {
-			a.members[p].ext.ReadExtent(reqs, completions)
-			return
-		}
-	}
-	for k := range reqs {
-		a.Idle(reqs[k].Time)
-		completions[k] = a.Access(reqs[k])
-	}
-}
-
-// WriteExtent fans a coalesced write run to every member, member-major:
-// members share no state, so each replays the whole run before the next
-// starts, and the per-record completion is the slowest replica's.
-func (a *Array) WriteExtent(reqs []device.Request, completions []units.Time) {
-	if len(reqs) > 0 && a.extentReady(reqs[0].Time) {
-		if cap(a.scratch) < len(reqs) {
-			a.scratch = make([]units.Time, len(reqs))
-		}
-		scratch := a.scratch[:len(reqs)]
-		for i := range a.members {
-			ed := a.members[i].ext
-			if i == 0 {
-				ed.WriteExtent(reqs, completions)
-				continue
-			}
-			ed.WriteExtent(reqs, scratch)
-			for k := range completions {
-				if scratch[k] > completions[k] {
-					completions[k] = scratch[k]
-				}
-			}
-		}
-		if a.trackAcks {
-			for k := range reqs {
-				a.ackRange(reqs[k].Addr, reqs[k].Size)
-			}
-		}
-		return
-	}
-	for k := range reqs {
-		a.Idle(reqs[k].Time)
-		completions[k] = a.Access(reqs[k])
 	}
 }
 

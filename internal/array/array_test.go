@@ -1,6 +1,7 @@
 package array
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -53,25 +54,27 @@ func (f *fakeDev) HasData(addr, size units.Bytes) bool {
 	return true
 }
 
+// parseSpecCases is the ParseSpec table; FuzzParseSpec seeds from it.
+var parseSpecCases = []struct {
+	in      string
+	mode    Mode
+	members int
+	wantErr string
+}{
+	{"mirror:2xflashcard", Mirror, 2, ""},
+	{"stripe:3xflashcard", Stripe, 3, ""},
+	{"mirror:flashcard+disk", Mirror, 2, ""},
+	{"mirror:1xflashcard", Mirror, 1, ""},
+	{"stripe:1xflashcard", 0, 0, "at least 2"},
+	{"raid5:2xflashcard", 0, 0, "unknown mode"},
+	{"mirror:2xfloppy", 0, 0, "unknown member kind"},
+	{"mirror", 0, 0, "want \"mirror:"},
+	{"mirror:0xflashcard", 0, 0, "bad member count"},
+	{"mirror:99xflashcard", 0, 0, "exceeds the supported 16"},
+}
+
 func TestParseSpec(t *testing.T) {
-	cases := []struct {
-		in      string
-		mode    Mode
-		members int
-		wantErr string
-	}{
-		{"mirror:2xflashcard", Mirror, 2, ""},
-		{"stripe:3xflashcard", Stripe, 3, ""},
-		{"mirror:flashcard+disk", Mirror, 2, ""},
-		{"mirror:1xflashcard", Mirror, 1, ""},
-		{"stripe:1xflashcard", 0, 0, "at least 2"},
-		{"raid5:2xflashcard", 0, 0, "unknown mode"},
-		{"mirror:2xfloppy", 0, 0, "unknown member kind"},
-		{"mirror", 0, 0, "want \"mirror:"},
-		{"mirror:0xflashcard", 0, 0, "bad member count"},
-		{"mirror:99xflashcard", 0, 0, "exceeds the supported 16"},
-	}
-	for _, c := range cases {
+	for _, c := range parseSpecCases {
 		sp, err := ParseSpec(c.in)
 		if c.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
@@ -90,6 +93,40 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q).String() = %q does not round-trip", c.in, sp.String())
 		}
 	}
+}
+
+// FuzzParseSpec feeds hostile -array strings to ParseSpec. Any input must
+// either fail or yield a spec the array can build: 1–16 members of known
+// kinds, at least two for a stripe, and a String form that parses back to
+// the same spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, c := range parseSpecCases {
+		f.Add(c.in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		sp, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		if n := len(sp.Members); n < 1 || n > 16 {
+			t.Fatalf("ParseSpec(%q): %d members, want 1–16", in, n)
+		}
+		for _, k := range sp.Members {
+			if !validKind(k) {
+				t.Fatalf("ParseSpec(%q): member kind %q not in %v", in, k, MemberKinds)
+			}
+		}
+		if sp.Mode == Stripe && len(sp.Members) < 2 {
+			t.Fatalf("ParseSpec(%q): stripe with %d member", in, len(sp.Members))
+		}
+		rt, err := ParseSpec(sp.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q).String() = %q does not parse: %v", in, sp.String(), err)
+		}
+		if !reflect.DeepEqual(rt, sp) {
+			t.Fatalf("ParseSpec(%q) = %+v, round-trip via %q = %+v", in, sp, sp.String(), rt)
+		}
+	})
 }
 
 // TestMirrorFanOut: writes land on every member, reads on one, and the

@@ -8,6 +8,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 
 	"mobilestorage/internal/array"
 	"mobilestorage/internal/device"
@@ -139,7 +141,8 @@ type Config struct {
 	// wear-out bad-block retirement with spare provisioning, and scheduled
 	// power failures with crash recovery. Results for a given trace, plan,
 	// and FaultSeed are reproducible. Nil keeps the fault-free path
-	// byte-identical to a build without fault injection.
+	// byte-identical to a build without fault injection. With Array set,
+	// only power_fail_at_us applies; every other field is rejected.
 	Faults *fault.Plan
 	// FaultSeed seeds the fault injector's deterministic generator.
 	FaultSeed int64
@@ -245,6 +248,11 @@ func (c Config) validateNonTrace() error {
 		if c.Faults.DieAtUs > 0 || c.Faults.DieAfterErases > 0 {
 			return fmt.Errorf("core: die_at_us/die_after_erases are per-member fault-domain fields; put them in MemberFaults (an array member plan), not the system plan")
 		}
+		if c.Array != nil {
+			if err := arraySystemPlan(c.Faults); err != nil {
+				return err
+			}
+		}
 	}
 	if len(c.MemberFaults) > 0 {
 		if c.Array == nil {
@@ -266,4 +274,18 @@ func (c Config) validateNonTrace() error {
 	default:
 		return fmt.Errorf("core: unknown storage kind %d", c.Kind)
 	}
+}
+
+// arraySystemPlan rejects system-plan fields an array run never reads.
+// Under an Array the system injector only schedules power failures; the
+// device-level faults live in each member's own fault domain.
+func arraySystemPlan(p *fault.Plan) error {
+	v := reflect.ValueOf(*p)
+	for i := 0; i < v.NumField(); i++ {
+		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		if name != "power_fail_at_us" && !v.Field(i).IsZero() {
+			return fmt.Errorf("core: system fault plan field %s is not read by an array; only power_fail_at_us applies system-wide — put device faults in MemberFaults (\"*\" for every member)", name)
+		}
+	}
+	return nil
 }

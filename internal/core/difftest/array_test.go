@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"fmt"
 	"testing"
 
 	"mobilestorage/internal/array"
@@ -25,7 +26,10 @@ func arraySpec(tb testing.TB, s string) *array.Spec {
 // devices: mirrored and striped arrays, healthy and under per-member fault
 // domains (a scheduled member death plus latent faults and backlog
 // carryover across a system power failure), must replay byte-identically
-// through the reference and fast loops.
+// through the reference and fast loops. The healthy topologies also run
+// over every matrix trace with and without a DRAM cache: uncached, every
+// read reaches the array, so each idle interval the members integrate
+// must match the reference loop's record by record.
 func TestArrayEquivalence(t *testing.T) {
 	tr := matrixTraces()[0].build(t)
 	prep := core.PrepareTrace(tr)
@@ -47,20 +51,39 @@ func TestArrayEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.Config{
-				Trace:            tr,
-				Prep:             prep,
-				DRAMBytes:        512 * units.KB,
-				Array:            arraySpec(t, tc.topo),
-				FlashCardParams:  device.IntelSeries2Measured(),
-				FlashUtilization: 0.80,
-				MemberFaults:     tc.members,
-				Faults:           tc.sys,
-				FaultSeed:        11,
-			}
+			cfg := arrayConfig(t, tr, prep, tc.topo, 512*units.KB)
+			cfg.MemberFaults = tc.members
+			cfg.Faults = tc.sys
+			cfg.FaultSeed = 11
 			ref, fast := runBoth(t, cfg)
 			requireIdentical(t, ref, fast)
 		})
+	}
+
+	for _, mt := range matrixTraces() {
+		tr := mt.build(t)
+		prep := core.PrepareTrace(tr)
+		for _, topo := range []string{"mirror:2xflashcard", "mirror:3xflashcard", "stripe:2xflashcard"} {
+			for _, dram := range []units.Bytes{0, 512 * units.KB} {
+				t.Run(fmt.Sprintf("healthy/%s/%s/dram=%dKB", topo, mt.name, dram/units.KB), func(t *testing.T) {
+					ref, fast := runBoth(t, arrayConfig(t, tr, prep, topo, dram))
+					requireIdentical(t, ref, fast)
+				})
+			}
+		}
+	}
+}
+
+// arrayConfig is the flash-card array base config the array differential
+// tests share.
+func arrayConfig(tb testing.TB, tr *trace.Trace, prep *core.TracePrep, topo string, dram units.Bytes) core.Config {
+	return core.Config{
+		Trace:            tr,
+		Prep:             prep,
+		DRAMBytes:        dram,
+		Array:            arraySpec(tb, topo),
+		FlashCardParams:  device.IntelSeries2Measured(),
+		FlashUtilization: 0.80,
 	}
 }
 

@@ -32,8 +32,8 @@ func matrixDevices() []matrixDevice {
 		}},
 		{"flashcard-ondemand", func(c *core.Config) {
 			// On-demand cleaning defers all cleaning work to the write
-			// path, so extent-batched writes hit the cleaner-threshold
-			// check with maximal pressure mid-extent.
+			// path, so writes hit the cleaner-threshold check with
+			// maximal pressure.
 			c.Kind = core.FlashCard
 			c.FlashCardParams = device.IntelSeries2Measured()
 			c.OnDemandCleaning = true

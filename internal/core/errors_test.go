@@ -1,10 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"mobilestorage/internal/array"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fault"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 )
@@ -57,6 +60,76 @@ func TestBuildStackErrors(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
+}
+
+// TestArrayRejectsUnreadSystemPlanFields pins that an array run consumes
+// only power_fail_at_us from the system fault plan and rejects every other
+// field instead of silently dropping it: device faults belong in each
+// member's plan.
+func TestArrayRejectsUnreadSystemPlanFields(t *testing.T) {
+	cases := []struct {
+		field string
+		plan  fault.Plan
+	}{
+		{"read_error_rate", fault.Plan{ReadErrorRate: 0.2}},
+		{"write_error_rate", fault.Plan{WriteErrorRate: 0.2}},
+		{"erase_error_rate", fault.Plan{EraseErrorRate: 0.2}},
+		{"max_retries", fault.Plan{MaxRetries: 3}},
+		{"backoff_us", fault.Plan{BackoffUs: 200}},
+		{"max_backoff_us", fault.Plan{MaxBackoffUs: 5_000}},
+		{"wear_out_after", fault.Plan{WearOutAfter: 100}},
+		{"spare_segments", fault.Plan{SpareSegments: 2}},
+		{"die_at_us", fault.Plan{DieAtUs: 1_000}},
+		{"die_after_erases", fault.Plan{DieAfterErases: 10}},
+		{"latent_error_rate", fault.Plan{LatentErrorRate: 0.01}},
+		{"carry_cleaning_backlog", fault.Plan{CarryCleaningBacklog: true}},
+	}
+	// Every Plan field but power_fail_at_us must have a row.
+	if want := reflect.TypeOf(fault.Plan{}).NumField() - 1; len(cases) != want {
+		t.Fatalf("table covers %d plan fields, want %d", len(cases), want)
+	}
+	spec, err := array.ParseSpec("mirror:2xflashcard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{
+		Trace:            smallTrace(),
+		Array:            spec,
+		FlashCardParams:  device.IntelSeries2Datasheet(),
+		FlashUtilization: 0.8,
+	}
+	for _, c := range cases {
+		t.Run(c.field, func(t *testing.T) {
+			cfg := base
+			plan := c.plan
+			plan.PowerFailAtUs = []int64{1_000}
+			cfg.Faults = &plan
+			_, err := Run(cfg)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Errorf("error %q does not name %s", err, c.field)
+			}
+			// The single-device path reads every field but the die_*
+			// pair, so the rejection is specific to arrays.
+			if plan.DieAtUs == 0 && plan.DieAfterErases == 0 {
+				single := cfg
+				single.Array = nil
+				single.Kind = FlashCard
+				if _, err := Run(single); err != nil {
+					t.Errorf("single-card run rejected the plan: %v", err)
+				}
+			}
+		})
+	}
+	t.Run("power_fail_at_us only", func(t *testing.T) {
+		cfg := base
+		cfg.Faults = &fault.Plan{PowerFailAtUs: []int64{1_000}}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestRunInvalidTrace(t *testing.T) {

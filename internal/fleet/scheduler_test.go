@@ -263,9 +263,13 @@ func TestSubmitPendingRunCap(t *testing.T) {
 	}
 	// Within the cap it runs; afterwards the reservation is released.
 	runJob(t, svc, Spec{SynthOps: 50, Replicas: 4})
-	if _, err := svc.Submit(Spec{SynthOps: 50, Replicas: 4}); err != nil {
+	j, err := svc.Submit(Spec{SynthOps: 50, Replicas: 4})
+	if err != nil {
 		t.Fatalf("submission after capacity freed: %v", err)
 	}
+	// Let it finish before the deferred reset: a job still running would
+	// read the package limits while later tests rewrite them.
+	<-j.Finished()
 }
 
 // Finished jobs drop their expanded grid immediately and are retired past
