@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,7 +71,7 @@ func run() (err error) {
 		sample    = flag.Float64("sample", 0, "snapshot metrics every N simulated seconds (0 = off)")
 		faults    = flag.String("faults", "", "fault-injection plan (JSON file, see docs/FAULTS.md)")
 		faultSeed = flag.Int64("fault-seed", 1, "fault-injection RNG seed")
-		arraySpec = flag.String("array", "", "replace the device with an array, e.g. mirror:2xflashcard or stripe:3xflashcard (see docs/ARRAYS.md; -device is ignored)")
+		arraySpec = flag.String("array", "", "replace the device with an array, e.g. mirror:2xflashcard or stripe:3xflashcard (see docs/ARRAYS.md; members use measured intel/cu140 parameters, so -device and -source are rejected)")
 		memFaults = flag.String("member-faults", "", "per-member fault plans for -array (JSON file keyed m0, m1, ... or *)")
 		mixName   = flag.String("mix", "", "op mix for index-* traces: default or read-heavy")
 		timeline  = flag.String("timeline", "", "write the sampled metric timeline as CSV to this file (requires -sample)")
@@ -102,6 +103,7 @@ func run() (err error) {
 		FlashUtilization: *util,
 		FlashCapacity:    units.Bytes(*capMB) * units.MB,
 		StoredData:       units.Bytes(*storedMB) * units.MB,
+		FaultSeed:        *faultSeed,
 	}
 	if *arraySpec != "" {
 		spec, err := array.ParseSpec(*arraySpec)
@@ -120,48 +122,21 @@ func run() (err error) {
 		if *arraySpec == "" {
 			return errors.New("-member-faults requires -array")
 		}
-		data, err := os.ReadFile(*memFaults)
-		if err != nil {
+		if cfg.MemberFaults, err = parseFile(*memFaults, fault.ParsePlanSet); err != nil {
 			return err
 		}
-		set, err := fault.ParsePlanSet(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", *memFaults, err)
-		}
-		cfg.MemberFaults = set
-		cfg.FaultSeed = *faultSeed
 	}
 	if *faults != "" {
-		data, err := os.ReadFile(*faults)
-		if err != nil {
+		if cfg.Faults, err = parseFile(*faults, fault.ParsePlan); err != nil {
 			return err
 		}
-		plan, err := fault.ParsePlan(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", *faults, err)
-		}
-		cfg.Faults = plan
-		cfg.FaultSeed = *faultSeed
 	}
 
-	// DRAM default: 2 MB, except the hp trace which was captured below the
-	// buffer cache (§4.1).
-	switch {
-	case *dramKB >= 0:
-		cfg.DRAMBytes = units.Bytes(*dramKB) * units.KB
-	case t.Name == "hp":
-		cfg.DRAMBytes = 0
-	default:
-		cfg.DRAMBytes = 2 * units.MB
+	if err := fleet.SetMemory(&cfg, *dramKB, *sramKB); err != nil {
+		return err
 	}
-	// SRAM default: 32 KB in front of disks (the paper's deferred spin-up
-	// configuration), none in front of flash or arrays (Kind is ignored for
-	// arrays and would otherwise zero-value to MagneticDisk).
-	switch {
-	case *sramKB >= 0:
-		cfg.SRAMBytes = units.Bytes(*sramKB) * units.KB
-	case cfg.Array == nil && cfg.Kind == core.MagneticDisk:
-		cfg.SRAMBytes = 32 * units.KB
+	if err := rejectUnreadFlags(cfg, *traceFile != "", indexStats != nil); err != nil {
+		return err
 	}
 
 	if *timeline != "" && *sample <= 0 {
@@ -302,6 +277,58 @@ func run() (err error) {
 		fmt.Print(reg.String())
 	}
 	return nil
+}
+
+// rejectUnreadFlags fails the run when a result-affecting flag set on the
+// command line is never read by the resolved trace and stack, so no knob is
+// silently dropped. Flags every run reads (-dram, -sram, -faults) and
+// output flags are not audited.
+func rejectUnreadFlags(cfg core.Config, traceFile, indexTrace bool) error {
+	single := func(k core.StorageKind) bool { return cfg.Array == nil && cfg.Kind == k }
+	member := func(kind string) bool { return cfg.Array != nil && slices.Contains(cfg.Array.Members, kind) }
+	card := single(core.FlashCard) || member("flashcard")
+	flash := card || single(core.FlashDisk)
+	read := map[string]bool{
+		"trace":       !traceFile,
+		"seed":        !traceFile,
+		"mix":         indexTrace,
+		"device":      cfg.Array == nil,
+		"source":      cfg.Array == nil,
+		"spindown":    single(core.MagneticDisk) || member("disk"),
+		"utilization": flash && cfg.FlashCapacity == 0,
+		"capacity":    flash,
+		"stored":      card || (flash && cfg.FlashCapacity == 0),
+		"async":       single(core.FlashDisk),
+		"cleaning":    card,
+		"ondemand":    card,
+		"writeback":   cfg.DRAMBytes > 0,
+		"fault-seed":  cfg.Faults != nil || cfg.MemberFaults != nil,
+	}
+	var unread []string
+	flag.Visit(func(f *flag.Flag) {
+		if r, ok := read[f.Name]; ok && !r {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return fmt.Errorf("no effect on this trace and device: %s", strings.Join(unread, ", "))
+	}
+	return nil
+}
+
+// parseFile reads a JSON input file and parses it, naming the file in a
+// parse error.
+func parseFile[T any](path string, parse func([]byte) (T, error)) (T, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	v, err := parse(data)
+	if err != nil {
+		return v, fmt.Errorf("%s: %w", path, err)
+	}
+	return v, nil
 }
 
 // buildTrace resolves the -tracefile/-trace flags to a replayable trace.

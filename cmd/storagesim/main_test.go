@@ -71,6 +71,92 @@ func TestArrayRejectsRateOnlySystemPlan(t *testing.T) {
 	}
 }
 
+// TestFlagAudit pins that every result-affecting flag is either read or
+// rejected: on each stack, setting the flag to a value other than the one
+// the run would otherwise use must change the (verbose) output or fail the
+// command. Output and sink flags (-v -metrics -events -oplog -timeline
+// -sample -serve -service -drain) are not audited.
+func TestFlagAudit(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	rates := write("er.json", `{"read_error_rate":0.2,"write_error_rate":0.2,"max_retries":3}`)
+	members := write("members.json", `{"*":{"read_error_rate":0.2,"max_retries":3}}`)
+	flags := []struct {
+		name  string
+		value func(stack string) []string
+	}{
+		{"seed", func(string) []string { return []string{"2"} }},
+		{"device", func(string) []string { return []string{"kh"} }},
+		{"source", func(stack string) []string {
+			if stack == "sdp5" {
+				return []string{"measured"} // sdp5 has datasheet numbers only
+			}
+			return []string{"datasheet"}
+		}},
+		{"dram", func(string) []string { return []string{"64"} }},
+		{"sram", func(string) []string { return []string{"64"} }},
+		{"spindown", func(string) []string { return []string{"1"} }},
+		{"utilization", func(string) []string { return []string{"0.6"} }},
+		{"capacity", func(string) []string { return []string{"64"} }},
+		{"stored", func(string) []string { return []string{"40"} }},
+		{"async", nil},
+		{"cleaning", func(string) []string { return []string{"fifo"} }},
+		{"ondemand", nil},
+		{"writeback", nil},
+		{"faults", func(string) []string { return []string{rates} }},
+		{"fault-seed", func(string) []string { return []string{"7"} }},
+		{"member-faults", func(string) []string { return []string{members} }},
+		{"mix", func(string) []string { return []string{"read-heavy"} }},
+	}
+	for _, stack := range []string{"cu140", "sdp5", "intel", "mirror:2xflashcard"} {
+		base := []string{"-v", "-trace", "dos", "-device", stack}
+		if strings.Contains(stack, ":") {
+			base = []string{"-v", "-trace", "dos", "-array", stack}
+		}
+		want, code := runCommand(t, base...)
+		if code != 0 {
+			t.Fatalf("%s: baseline exited %d:\n%s", stack, code, want)
+		}
+		for _, f := range flags {
+			args := append(append([]string(nil), base...), "-"+f.name)
+			if f.value != nil {
+				args = append(args, f.value(stack)...)
+			}
+			if out, code := runCommand(t, args...); code == 0 && out == want {
+				t.Errorf("%s: -%s ran and changed nothing", stack, f.name)
+			}
+		}
+	}
+
+	// A flag that another flag overrides is rejected as well.
+	tr, err := workload.Synth(workload.SynthConfig{Seed: 1, Ops: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := trace.Encode(&text, tr); err != nil {
+		t.Fatal(err)
+	}
+	traceFile := write("t.trace", text.String())
+	for _, args := range [][]string{
+		{"-tracefile", traceFile, "-seed", "2"},
+		{"-tracefile", traceFile, "-trace", "dos"},
+		{"-device", "intel", "-capacity", "64", "-utilization", "0.6"},
+		{"-device", "sdp5", "-capacity", "64", "-stored", "40"},
+		{"-trace", "dos", "-dram", "0", "-writeback"},
+	} {
+		if out, code := runCommand(t, args...); code == 0 {
+			t.Errorf("%v: overridden flag accepted:\n%s", args, out)
+		}
+	}
+}
+
 func TestSelectDevice(t *testing.T) {
 	cases := []struct {
 		name, source string

@@ -7,13 +7,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"mobilestorage/internal/array"
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/fault"
+	"mobilestorage/internal/flashcard"
 	"mobilestorage/internal/obs"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
@@ -266,14 +269,46 @@ func (c Config) validateNonTrace() error {
 		if len(c.Array.Members) == 0 {
 			return fmt.Errorf("core: array spec has no members")
 		}
-		return nil // member kinds pick their own params; Kind is ignored
-	}
-	switch c.Kind {
-	case MagneticDisk, FlashDisk, FlashCard, FlashCache:
-		return nil
-	default:
+	} else if c.Kind > FlashCache {
 		return fmt.Errorf("core: unknown storage kind %d", c.Kind)
 	}
+	if _, err := spinPolicy(c); err != nil {
+		return err
+	}
+	// Device knobs no layer of the built stack reads are rejected.
+	// FlashUtilization, CleaningPolicy and SpinDown stay accepted on every
+	// device: parameter grids cross them with devices that ignore them.
+	// The hybrid's card reads neither cleaning knob.
+	_, knownPolicy := flashcard.Policies()[c.CleaningPolicy]
+	card := c.builds(FlashCard, "flashcard")
+	switch {
+	case !knownPolicy && c.CleaningPolicy != "":
+		return fmt.Errorf("core: unknown cleaning policy %q", c.CleaningPolicy)
+	case c.FlashCapacity < 0 || c.StoredData < 0:
+		return fmt.Errorf("core: negative flash capacity %d or stored data %d", c.FlashCapacity, c.StoredData)
+	case c.SpinDown < 0:
+		return fmt.Errorf("core: negative spin-down threshold %dµs", int64(c.SpinDown))
+	case c.WearLeveling < 0:
+		return fmt.Errorf("core: negative wear-leveling threshold %d", c.WearLeveling)
+	case c.AsyncErase && (c.Array != nil || c.Kind != FlashDisk):
+		return errors.New("core: AsyncErase applies only to a single flash disk")
+	case c.OnDemandCleaning && !card:
+		return errors.New("core: OnDemandCleaning applies only to a stack with a flash card")
+	case c.WearLeveling > 0 && !card:
+		return errors.New("core: WearLeveling applies only to a stack with a flash card")
+	case c.SpinPolicy != "" && !c.builds(MagneticDisk, "disk"):
+		return errors.New("core: SpinPolicy applies only to a stack with a magnetic disk")
+	}
+	return nil
+}
+
+// builds reports whether the stack contains a device of the given kind,
+// single or as an array member of the given member kind.
+func (c Config) builds(kind StorageKind, member string) bool {
+	if c.Array != nil {
+		return slices.Contains(c.Array.Members, member)
+	}
+	return c.Kind == kind
 }
 
 // arraySystemPlan rejects system-plan fields an array run never reads.

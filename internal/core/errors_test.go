@@ -211,3 +211,82 @@ func TestSRAMOnFlash(t *testing.T) {
 		t.Error("no SRAM energy accounted")
 	}
 }
+
+// TestRejectsUnreadKnobs pins that a device knob no layer of the built
+// stack reads fails validation instead of being dropped, that unknown
+// policy names fail on every stack, and that the knobs parameter grids
+// cross with every device (utilization, cleaning policy, spin-down) stay
+// accepted where they are ignored.
+func TestRejectsUnreadKnobs(t *testing.T) {
+	stacks := map[string]func(*Config){
+		"disk": func(c *Config) { c.Kind, c.Disk = MagneticDisk, device.CU140Datasheet() },
+		"flashdisk": func(c *Config) {
+			c.Kind, c.FlashDiskParams = FlashDisk, device.SDP5Datasheet()
+		},
+		"flashcard": func(c *Config) {
+			c.Kind, c.FlashCardParams = FlashCard, device.IntelSeries2Datasheet()
+		},
+		"hybrid": func(c *Config) {
+			c.Kind, c.Disk, c.FlashCardParams = FlashCache, device.CU140Datasheet(), device.IntelSeries2Datasheet()
+			c.FlashCacheBytes = 256 * units.KB
+		},
+	}
+	for _, spec := range []string{"mirror:2xflashcard", "mirror:2xdisk", "mirror:flashcard+disk"} {
+		sp, err := array.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks[spec] = func(c *Config) {
+			c.Array, c.Disk, c.FlashCardParams = sp, device.CU140Datasheet(), device.IntelSeries2Datasheet()
+		}
+	}
+	cases := []struct {
+		stack string
+		mut   func(*Config)
+		want  string // "" = accepted
+	}{
+		{"disk", func(c *Config) { c.AsyncErase = true }, "AsyncErase"},
+		{"flashcard", func(c *Config) { c.AsyncErase = true }, "AsyncErase"},
+		{"hybrid", func(c *Config) { c.AsyncErase = true }, "AsyncErase"},
+		{"mirror:2xflashcard", func(c *Config) { c.AsyncErase = true }, "AsyncErase"},
+		{"flashdisk", func(c *Config) { c.AsyncErase = true }, ""},
+		{"disk", func(c *Config) { c.OnDemandCleaning = true }, "OnDemandCleaning"},
+		{"flashdisk", func(c *Config) { c.OnDemandCleaning = true }, "OnDemandCleaning"},
+		{"hybrid", func(c *Config) { c.OnDemandCleaning = true }, "OnDemandCleaning"},
+		{"mirror:2xdisk", func(c *Config) { c.OnDemandCleaning = true }, "OnDemandCleaning"},
+		{"mirror:flashcard+disk", func(c *Config) { c.OnDemandCleaning = true }, ""},
+		{"disk", func(c *Config) { c.WearLeveling = 4 }, "WearLeveling"},
+		{"hybrid", func(c *Config) { c.WearLeveling = 4 }, "WearLeveling"},
+		{"flashcard", func(c *Config) { c.WearLeveling = -1 }, "wear-leveling"},
+		{"mirror:2xflashcard", func(c *Config) { c.WearLeveling = 4 }, ""},
+		{"flashcard", func(c *Config) { c.SpinPolicy = "adaptive" }, "SpinPolicy"},
+		{"flashdisk", func(c *Config) { c.SpinPolicy = "immediate" }, "SpinPolicy"},
+		{"hybrid", func(c *Config) { c.SpinPolicy = "adaptive" }, "SpinPolicy"},
+		{"mirror:2xflashcard", func(c *Config) { c.SpinPolicy = "always-on" }, "SpinPolicy"},
+		{"mirror:flashcard+disk", func(c *Config) { c.SpinPolicy = "adaptive" }, ""},
+		{"disk", func(c *Config) { c.CleaningPolicy = "bogus" }, "unknown cleaning policy"},
+		{"hybrid", func(c *Config) { c.CleaningPolicy = "bogus" }, "unknown cleaning policy"},
+		{"flashcard", func(c *Config) { c.SpinPolicy = "psychic" }, "unknown spin policy"},
+		{"flashdisk", func(c *Config) { c.FlashCapacity = -units.MB }, "negative"},
+		{"flashcard", func(c *Config) { c.StoredData = -units.MB }, "negative"},
+		{"disk", func(c *Config) { c.SpinDown = -3 * units.Second }, "spin-down"},
+		// Grid axes cross these with every device; they stay accepted.
+		{"disk", func(c *Config) { c.CleaningPolicy, c.FlashUtilization = "fifo", 0.5 }, ""},
+		{"flashcard", func(c *Config) { c.SpinDown = units.Second }, ""},
+		{"flashdisk", func(c *Config) { c.CleaningPolicy = "cost-benefit" }, ""},
+	}
+	for _, c := range cases {
+		cfg := Config{Trace: smallTrace()}
+		stacks[c.stack](&cfg)
+		c.mut(&cfg)
+		_, err := Run(cfg)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.stack, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: %s accepted", c.stack, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not mention %q", c.stack, err, c.want)
+		}
+	}
+}

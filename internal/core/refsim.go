@@ -216,7 +216,7 @@ func writeEvictedRef(st *stack, extents []cache.Extent, at units.Time) {
 	}
 }
 
-// refTraceFootprint is traceFootprint on the frozen layout and map hints.
+// refTraceFootprint is Footprint on the frozen layout and map hints.
 func refTraceFootprint(t *trace.Trace, blockSize units.Bytes, hints map[uint32]units.Bytes) units.Bytes {
 	l := trace.NewRefLayout(blockSize)
 	for _, rec := range t.Records {

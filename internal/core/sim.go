@@ -34,7 +34,8 @@ type stack struct {
 // meters returns every energy meter in the stack. Each populated component
 // is checked independently: buildStack only ever sets one base device, but a
 // hand-assembled stack (tests, future composites) must report every meter
-// exactly once rather than just the first match.
+// exactly once rather than just the first match. The SRAM buffer's meter
+// comes last; fillEnergy relies on that.
 func (s *stack) meters() []*energy.Meter {
 	var ms []*energy.Meter
 	if s.disk != nil {
@@ -472,25 +473,16 @@ func totalEnergy(st *stack, dram dramCache) float64 {
 // fillEnergy computes post-warm-start energy totals and the component
 // breakdown.
 func fillEnergy(res *Result, st *stack, dram dramCache, warmSnapshot float64) {
-	var storageJ float64
-	switch {
-	case st.disk != nil:
-		storageJ = st.disk.Meter().TotalJ()
-	case st.fdisk != nil:
-		storageJ = st.fdisk.Meter().TotalJ()
-	case st.fcard != nil:
-		storageJ = st.fcard.Meter().TotalJ()
-	case st.hyb != nil:
-		storageJ = st.hyb.Meter().TotalJ()
-	case st.arr != nil:
-		for _, m := range st.arr.Meters() {
-			storageJ += m.TotalJ()
-		}
-	}
-	res.EnergyByComponent["storage"] = storageJ
+	ms := st.meters()
 	if st.buffer != nil {
 		res.EnergyByComponent["sram"] = st.buffer.Meter().TotalJ()
+		ms = ms[:len(ms)-1] // meters lists the buffer last
 	}
+	var storageJ float64
+	for _, m := range ms {
+		storageJ += m.TotalJ()
+	}
+	res.EnergyByComponent["storage"] = storageJ
 	if dram != nil {
 		res.EnergyByComponent["dram"] = dram.Meter().TotalJ()
 	}
@@ -568,255 +560,146 @@ func fillDeviceStats(res *Result, st *stack, dram dramCache) {
 // concurrent bytes placed over its lifetime. Experiments use it to size
 // flash devices relative to the workload.
 func Footprint(t *trace.Trace) units.Bytes {
-	return traceFootprint(t, t.BlockSize, t.MaxFileExtents())
+	_, _, footprint := placeRecords(t, t.BlockSize, t.MaxFileExtents())
+	return footprint
 }
 
-// traceFootprint dry-runs the layout over the whole trace and returns the
-// maximum concurrent placement high-water mark, block-rounded.
-func traceFootprint(t *trace.Trace, blockSize units.Bytes, hints *trace.FileSizes) units.Bytes {
-	l := trace.NewLayout(blockSize)
-	for _, rec := range t.Records {
-		switch rec.Op {
-		case trace.Delete:
-			l.Delete(rec.File)
-		default:
-			l.Place(rec.File, rec.Offset, hints.Get(rec.File))
-		}
-	}
-	return l.HighWater()
-}
-
-// buildStack constructs the configured storage hierarchy, threading the
-// fault injector (nil = fault injection off) into every device layer.
+// buildStack constructs the configured storage hierarchy: one base device
+// (an array, a disk, a flash disk, a flash card, or the hybrid), wrapped in
+// the SRAM write buffer when one is configured. The fault injector (nil =
+// fault injection off) is threaded into every device layer.
 func buildStack(cfg Config, blockSize, footprint units.Bytes, inj *fault.Injector) (*stack, error) {
-	if cfg.Array != nil {
-		return buildArrayStack(cfg, blockSize, footprint, inj)
-	}
 	st := &stack{}
+	stored := max(cfg.StoredData, footprint)
 	var base device.Device
-
-	switch cfg.Kind {
-	case MagneticDisk:
-		policy, err := spinPolicy(cfg)
-		if err != nil {
-			return nil, err
-		}
-		d, err := disk.New(cfg.Disk, disk.WithPolicy(policy), disk.WithScope(cfg.Scope), disk.WithFaults(inj))
-		if err != nil {
-			return nil, err
-		}
-		st.disk = d
-		base = d
-
-	case FlashDisk:
-		if err := cfg.FlashDiskParams.Validate(); err != nil {
-			return nil, err
-		}
-		capacity := flashCapacity(cfg, footprint, cfg.FlashDiskParams.SectorSize)
-		opts := []flashdisk.Option{flashdisk.WithScope(cfg.Scope), flashdisk.WithFaults(inj)}
-		if cfg.AsyncErase {
-			opts = append(opts, flashdisk.WithAsyncErase())
-		}
-		f, err := flashdisk.New(cfg.FlashDiskParams, capacity, opts...)
-		if err != nil {
-			return nil, err
-		}
-		st.fdisk = f
-		base = f
-
-	case FlashCard:
-		if err := cfg.FlashCardParams.Validate(); err != nil {
-			return nil, err
-		}
-		seg := cfg.FlashCardParams.SegmentSize
-		capacity := cfg.FlashCapacity
-		stored := cfg.StoredData
-		if stored < footprint {
-			stored = footprint
-		}
-		if capacity == 0 {
-			capacity = flashCapacity(cfg, footprint, seg)
-			// Guarantee the cleaning reserve above the stored data and the
-			// card's structural minimum of four segments. An explicit
-			// capacity is taken as-is and rejected downstream if too small.
-			if capacity < stored+3*seg {
-				capacity = units.CeilDiv(stored, seg)*seg + 3*seg
-			}
-			// Spare segments are extra physical flash provisioned beyond the
-			// nominal capacity; wear-out retirements consume them before any
-			// usable capacity is lost.
-			capacity += units.Bytes(inj.SpareUnits()) * seg
-		}
-		opts := []flashcard.Option{flashcard.WithScope(cfg.Scope), flashcard.WithFaults(inj)}
-		if cfg.OnDemandCleaning {
-			opts = append(opts, flashcard.WithOnDemandCleaning())
-		}
-		if cfg.WearLeveling > 0 {
-			opts = append(opts, flashcard.WithWearLeveling(cfg.WearLeveling))
-		}
-		if cfg.CleaningPolicy != "" {
-			p, ok := flashcard.Policies()[cfg.CleaningPolicy]
-			if !ok {
-				return nil, fmt.Errorf("core: unknown cleaning policy %q", cfg.CleaningPolicy)
-			}
-			opts = append(opts, flashcard.WithPolicy(p))
-		}
-		c, err := flashcard.New(cfg.FlashCardParams, capacity, blockSize, opts...)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Prefill(stored); err != nil {
-			return nil, err
-		}
-		st.fcard = c
-		base = c
-
-	case FlashCache:
-		// Constructed below, after the switch (it composes two devices).
+	var err error
+	switch {
+	case cfg.Array != nil:
+		st.arr, err = buildArray(cfg, blockSize, stored, inj)
+		base = st.arr
+	case cfg.Kind == MagneticDisk:
+		st.disk, err = buildDisk(cfg, inj)
+		base = st.disk
+	case cfg.Kind == FlashDisk:
+		st.fdisk, err = buildFlashDisk(cfg, stored, inj)
+		base = st.fdisk
+	case cfg.Kind == FlashCard:
+		st.fcard, err = buildCard(cfg, blockSize, stored, inj)
+		base = st.fcard
+	case cfg.Kind == FlashCache:
+		st.hyb, err = buildHybrid(cfg, blockSize, inj)
+		base = st.hyb
 	default:
-		return nil, fmt.Errorf("core: unknown storage kind %d", cfg.Kind)
+		err = fmt.Errorf("core: unknown storage kind %d", cfg.Kind)
 	}
-
-	if cfg.Kind == FlashCache {
-		cacheBytes := cfg.FlashCacheBytes
-		if cacheBytes == 0 {
-			cacheBytes = 4 * units.MB
-		}
-		h, err := hybrid.New(hybrid.Config{
-			Disk:      cfg.Disk,
-			SpinDown:  cfg.SpinDown,
-			Card:      cfg.FlashCardParams,
-			CacheSize: cacheBytes,
-			BlockSize: blockSize,
-			Scope:     cfg.Scope,
-			Faults:    inj,
-		})
-		if err != nil {
-			return nil, err
-		}
-		st.hyb = h
-		base = h
+	if err != nil {
+		return nil, err
 	}
-
 	if cfg.SRAMBytes > 0 {
-		b, err := sram.New(*cfg.SRAM, cfg.SRAMBytes, blockSize, base, sram.WithScope(cfg.Scope), sram.WithFaults(inj))
+		st.buffer, err = sram.New(*cfg.SRAM, cfg.SRAMBytes, blockSize, base, sram.WithScope(cfg.Scope), sram.WithFaults(inj))
 		if err != nil {
 			return nil, err
 		}
-		st.buffer = b
-		base = b
+		base = st.buffer
 	}
 	st.top = base
 	return st, nil
 }
 
-// buildArrayStack constructs a composite-array stack from cfg.Array: every
-// member is built from the same parameter structs a single-device run uses,
-// but carries its own fault injector — its fault domain — seeded
-// independently per slot. The system injector keeps power failures and the
-// shared violation ledger; it never injects member-level faults.
-func buildArrayStack(cfg Config, blockSize, footprint units.Bytes, inj *fault.Injector) (*stack, error) {
+// buildArray constructs a composite array from cfg.Array. Members are built
+// by the same constructors as single devices, but each carries its own
+// fault injector — its fault domain — seeded independently per slot. The
+// system injector keeps power failures and the shared violation ledger; it
+// never injects member-level faults.
+func buildArray(cfg Config, blockSize, stored units.Bytes, inj *fault.Injector) (*array.Array, error) {
 	spec := cfg.Array
 	n := len(spec.Members)
-
 	// Mirror members each hold the full data set; stripe members hold a 1/N
 	// round-robin share of the block address space (one extra block covers
 	// the uneven remainder slot).
-	stored := cfg.StoredData
-	if stored < footprint {
-		stored = footprint
-	}
-	memberStored := stored
 	if spec.Mode == array.Stripe {
-		memberStored = units.CeilDiv(stored, units.Bytes(n)) + blockSize
+		stored = units.CeilDiv(stored, units.Bytes(n)) + blockSize
 	}
-
 	members := make([]array.Member, n)
 	for i, kind := range spec.Members {
-		minj := fault.NewInjector(cfg.MemberFaults.Member(i), fault.MemberSeed(cfg.FaultSeed, i), cfg.Scope)
+		var build func(*fault.Injector) (device.Device, error)
 		switch kind {
 		case "flashcard":
-			dev, err := buildMemberCard(cfg, blockSize, memberStored, minj)
-			if err != nil {
-				return nil, fmt.Errorf("core: array member %d: %w", i, err)
-			}
-			members[i] = array.Member{
-				Dev: dev,
-				Inj: minj,
-				// Replacements are fresh fault-free cards: the dead slot's
-				// plan already fired, and a rebuilt card starts unworn.
-				Replace: func() (device.Device, error) {
-					return buildMemberCard(cfg, blockSize, memberStored, nil)
-				},
-			}
+			build = func(minj *fault.Injector) (device.Device, error) { return buildCard(cfg, blockSize, stored, minj) }
 		case "disk":
-			d, err := buildMemberDisk(cfg, minj)
-			if err != nil {
-				return nil, fmt.Errorf("core: array member %d: %w", i, err)
-			}
-			members[i] = array.Member{
-				Dev: d,
-				Inj: minj,
-				Replace: func() (device.Device, error) {
-					return buildMemberDisk(cfg, nil)
-				},
-			}
+			build = func(minj *fault.Injector) (device.Device, error) { return buildDisk(cfg, minj) }
 		default:
 			return nil, fmt.Errorf("core: array member %d: unknown kind %q", i, kind)
 		}
+		minj := fault.NewInjector(cfg.MemberFaults.Member(i), fault.MemberSeed(cfg.FaultSeed, i), cfg.Scope)
+		dev, err := build(minj)
+		if err != nil {
+			return nil, fmt.Errorf("core: array member %d: %w", i, err)
+		}
+		// Replacements are fresh fault-free devices: the dead slot's plan
+		// already fired, and a rebuilt card starts unworn.
+		members[i] = array.Member{Dev: dev, Inj: minj, Replace: func() (device.Device, error) { return build(nil) }}
 	}
-
-	arr, err := array.New(array.Config{
+	return array.New(array.Config{
 		Mode:      spec.Mode,
 		BlockSize: blockSize,
 		Scope:     cfg.Scope,
 		SysInj:    inj,
 	}, members)
+}
+
+// buildDisk constructs a magnetic disk, single or as an array member.
+func buildDisk(cfg Config, inj *fault.Injector) (*disk.Disk, error) {
+	policy, err := spinPolicy(cfg)
 	if err != nil {
 		return nil, err
 	}
-	st := &stack{arr: arr}
-	var base device.Device = arr
-	if cfg.SRAMBytes > 0 {
-		b, err := sram.New(*cfg.SRAM, cfg.SRAMBytes, blockSize, base, sram.WithScope(cfg.Scope), sram.WithFaults(inj))
-		if err != nil {
-			return nil, err
-		}
-		st.buffer = b
-		base = b
-	}
-	st.top = base
-	return st, nil
+	return disk.New(cfg.Disk, disk.WithPolicy(policy), disk.WithScope(cfg.Scope), disk.WithFaults(inj))
 }
 
-// buildMemberCard constructs one flash-card array member sized for its
-// share of the stored data. A nil injector builds the fault-free
+// buildFlashDisk constructs a flash disk sized for the stored data.
+func buildFlashDisk(cfg Config, stored units.Bytes, inj *fault.Injector) (*flashdisk.FlashDisk, error) {
+	if err := cfg.FlashDiskParams.Validate(); err != nil {
+		return nil, err
+	}
+	opts := []flashdisk.Option{flashdisk.WithScope(cfg.Scope), flashdisk.WithFaults(inj)}
+	if cfg.AsyncErase {
+		opts = append(opts, flashdisk.WithAsyncErase())
+	}
+	return flashdisk.New(cfg.FlashDiskParams, flashCapacity(cfg, stored, cfg.FlashDiskParams.SectorSize), opts...)
+}
+
+// buildCard constructs a flash card, single or as an array member, holding
+// stored bytes of live data. A nil injector builds the fault-free
 // replacement card used by mirror rebuilds.
-func buildMemberCard(cfg Config, blockSize, stored units.Bytes, minj *fault.Injector) (device.Device, error) {
+func buildCard(cfg Config, blockSize, stored units.Bytes, inj *fault.Injector) (*flashcard.Card, error) {
 	if err := cfg.FlashCardParams.Validate(); err != nil {
 		return nil, err
 	}
 	seg := cfg.FlashCardParams.SegmentSize
-	capacity := cfg.FlashCapacity
-	if capacity == 0 {
-		capacity = units.CeilDiv(units.Bytes(float64(stored)/cfg.FlashUtilization), seg) * seg
+	capacity := flashCapacity(cfg, stored, seg)
+	if cfg.FlashCapacity == 0 {
+		// Guarantee the cleaning reserve above the stored data and the
+		// card's structural minimum of four segments. An explicit capacity
+		// is taken as-is and rejected downstream if too small.
 		if capacity < stored+3*seg {
 			capacity = units.CeilDiv(stored, seg)*seg + 3*seg
 		}
-		capacity += units.Bytes(minj.SpareUnits()) * seg
+		// Spare segments are extra physical flash provisioned beyond the
+		// nominal capacity; wear-out retirements consume them before any
+		// usable capacity is lost.
+		capacity += units.Bytes(inj.SpareUnits()) * seg
 	}
-	opts := []flashcard.Option{flashcard.WithScope(cfg.Scope), flashcard.WithFaults(minj)}
+	opts := []flashcard.Option{flashcard.WithScope(cfg.Scope), flashcard.WithFaults(inj)}
 	if cfg.OnDemandCleaning {
 		opts = append(opts, flashcard.WithOnDemandCleaning())
 	}
 	if cfg.WearLeveling > 0 {
 		opts = append(opts, flashcard.WithWearLeveling(cfg.WearLeveling))
 	}
-	if cfg.CleaningPolicy != "" {
-		p, ok := flashcard.Policies()[cfg.CleaningPolicy]
-		if !ok {
-			return nil, fmt.Errorf("core: unknown cleaning policy %q", cfg.CleaningPolicy)
-		}
+	// validateNonTrace has rejected unknown names; "" keeps the card's
+	// default.
+	if p, ok := flashcard.Policies()[cfg.CleaningPolicy]; ok {
 		opts = append(opts, flashcard.WithPolicy(p))
 	}
 	c, err := flashcard.New(cfg.FlashCardParams, capacity, blockSize, opts...)
@@ -829,13 +712,21 @@ func buildMemberCard(cfg Config, blockSize, stored units.Bytes, minj *fault.Inje
 	return c, nil
 }
 
-// buildMemberDisk constructs one magnetic-disk array member.
-func buildMemberDisk(cfg Config, minj *fault.Injector) (device.Device, error) {
-	policy, err := spinPolicy(cfg)
-	if err != nil {
-		return nil, err
+// buildHybrid constructs the flash-as-disk-cache hybrid.
+func buildHybrid(cfg Config, blockSize units.Bytes, inj *fault.Injector) (*hybrid.Cache, error) {
+	cacheBytes := cfg.FlashCacheBytes
+	if cacheBytes == 0 {
+		cacheBytes = 4 * units.MB
 	}
-	return disk.New(cfg.Disk, disk.WithPolicy(policy), disk.WithScope(cfg.Scope), disk.WithFaults(minj))
+	return hybrid.New(hybrid.Config{
+		Disk:      cfg.Disk,
+		SpinDown:  cfg.SpinDown,
+		Card:      cfg.FlashCardParams,
+		CacheSize: cacheBytes,
+		BlockSize: blockSize,
+		Scope:     cfg.Scope,
+		Faults:    inj,
+	})
 }
 
 // spinPolicy resolves the configured spin-down policy.
@@ -854,17 +745,12 @@ func spinPolicy(cfg Config) (disk.SpinPolicy, error) {
 	}
 }
 
-// flashCapacity derives the flash device capacity from the config: explicit
-// capacity wins; otherwise stored-data ÷ utilization, rounded up to the
-// erase unit.
-func flashCapacity(cfg Config, footprint, unit units.Bytes) units.Bytes {
-	if cfg.FlashCapacity > 0 {
+// flashCapacity derives a flash device's capacity: an explicit capacity
+// wins; otherwise the stored data ÷ utilization, rounded up to the erase
+// unit.
+func flashCapacity(cfg Config, stored, unit units.Bytes) units.Bytes {
+	if cfg.FlashCapacity != 0 {
 		return cfg.FlashCapacity
 	}
-	stored := cfg.StoredData
-	if stored < footprint {
-		stored = footprint
-	}
-	capacity := units.Bytes(float64(stored) / cfg.FlashUtilization)
-	return units.CeilDiv(capacity, unit) * unit
+	return units.CeilDiv(units.Bytes(float64(stored)/cfg.FlashUtilization), unit) * unit
 }

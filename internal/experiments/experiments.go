@@ -17,6 +17,7 @@ import (
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/fleet"
 	"mobilestorage/internal/trace"
 	"mobilestorage/internal/units"
 	"mobilestorage/internal/workload"
@@ -87,7 +88,8 @@ func dramFor(traceName string) units.Bytes {
 
 // DeviceSpec identifies one device row of Table 4.
 type DeviceSpec struct {
-	// Name is the device ("cu140", "kh", "sdp10", "sdp5", "intel").
+	// Name is a device catalog name ("cu140", "kh", "sdp10", "sdp5",
+	// "intel", "intel2+"; see fleet.SelectDevice).
 	Name string
 	// Source is measured or datasheet.
 	Source device.ParamSource
@@ -106,46 +108,12 @@ func Table4Devices() []DeviceSpec {
 	}
 }
 
-// Configure fills a core.Config's device fields for a spec, applying the
-// paper's defaults (spin-down, SRAM for disks, 40 MB flash at 80%).
+// Configure fills a core.Config's device fields for a spec from the
+// device catalog, applying the paper's Table 4 defaults: spin-down and SRAM
+// for disks, 40 MB of flash holding 32 MB.
 func (d DeviceSpec) Configure(cfg *core.Config) error {
-	switch d.Name {
-	case "cu140":
-		cfg.Kind = core.MagneticDisk
-		if d.Source == device.Measured {
-			cfg.Disk = device.CU140Measured()
-		} else {
-			cfg.Disk = device.CU140Datasheet()
-		}
-	case "kh":
-		cfg.Kind = core.MagneticDisk
-		cfg.Disk = device.KittyhawkDatasheet()
-	case "sdp10":
-		cfg.Kind = core.FlashDisk
-		if d.Source == device.Measured {
-			cfg.FlashDiskParams = device.SDP10Measured()
-		} else {
-			cfg.FlashDiskParams = device.SDP10Datasheet()
-		}
-	case "sdp5":
-		cfg.Kind = core.FlashDisk
-		cfg.FlashDiskParams = device.SDP5Datasheet()
-	case "sdp5a":
-		cfg.Kind = core.FlashDisk
-		cfg.FlashDiskParams = device.SDP5Datasheet()
-		cfg.AsyncErase = true
-	case "intel":
-		cfg.Kind = core.FlashCard
-		if d.Source == device.Measured {
-			cfg.FlashCardParams = device.IntelSeries2Measured()
-		} else {
-			cfg.FlashCardParams = device.IntelSeries2Datasheet()
-		}
-	case "intel2+":
-		cfg.Kind = core.FlashCard
-		cfg.FlashCardParams = device.IntelSeries2PlusDatasheet()
-	default:
-		return fmt.Errorf("experiments: unknown device %q", d.Name)
+	if err := fleet.SelectDevice(cfg, d.Name, string(d.Source)); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
 	switch cfg.Kind {
 	case core.MagneticDisk:

@@ -8,81 +8,93 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/device"
+	"mobilestorage/internal/units"
 )
 
-// DeviceNames lists the catalog devices a job may reference.
-func DeviceNames() []string {
-	return []string{"cu140", "kh", "sdp10", "sdp5", "intel", "intel2+"}
+// catalog maps each device name to the setters for its measured and
+// datasheet parameters. A nil measured setter means the paper reports no
+// measurements for the device.
+var catalog = map[string]struct{ measured, datasheet func(*core.Config) }{
+	"cu140": {
+		func(c *core.Config) { c.Kind, c.Disk = core.MagneticDisk, device.CU140Measured() },
+		func(c *core.Config) { c.Kind, c.Disk = core.MagneticDisk, device.CU140Datasheet() },
+	},
+	"kh": {nil, func(c *core.Config) { c.Kind, c.Disk = core.MagneticDisk, device.KittyhawkDatasheet() }},
+	"sdp10": {
+		func(c *core.Config) { c.Kind, c.FlashDiskParams = core.FlashDisk, device.SDP10Measured() },
+		func(c *core.Config) { c.Kind, c.FlashDiskParams = core.FlashDisk, device.SDP10Datasheet() },
+	},
+	"sdp5": {nil, func(c *core.Config) { c.Kind, c.FlashDiskParams = core.FlashDisk, device.SDP5Datasheet() }},
+	"intel": {
+		func(c *core.Config) { c.Kind, c.FlashCardParams = core.FlashCard, device.IntelSeries2Measured() },
+		func(c *core.Config) { c.Kind, c.FlashCardParams = core.FlashCard, device.IntelSeries2Datasheet() },
+	},
+	"intel2+": {nil, func(c *core.Config) { c.Kind, c.FlashCardParams = core.FlashCard, device.IntelSeries2PlusDatasheet() }},
 }
 
 // SelectDevice fills cfg's storage kind and parameters for a catalog device
 // name. source picks the parameter provenance: "measured", "datasheet", or
 // "" for the best available (measured when the paper reports it, datasheet
 // otherwise). This is the one device-name resolver shared by the storagesim
-// CLI and the fleet job API.
+// CLI, the fleet job API and the experiments.
 func SelectDevice(cfg *core.Config, name, source string) error {
-	pick := func(measured, datasheet func() bool) error {
-		switch source {
-		case "", "measured":
-			if measured() {
-				return nil
-			}
-			if source == "measured" {
-				return fmt.Errorf("no measured parameters for %q", name)
-			}
-			datasheet()
-			return nil
-		case "datasheet":
-			if datasheet() {
-				return nil
-			}
-			return fmt.Errorf("no datasheet parameters for %q", name)
-		default:
-			return fmt.Errorf("unknown source %q (want measured or datasheet)", source)
+	d, ok := catalog[name]
+	switch {
+	case !ok:
+		return fmt.Errorf("unknown device %q", name)
+	case source != "" && source != "measured" && source != "datasheet":
+		return fmt.Errorf("unknown source %q (want measured or datasheet)", source)
+	case source == "measured" && d.measured == nil:
+		return fmt.Errorf("no measured parameters for %q", name)
+	case source == "datasheet" || d.measured == nil:
+		d.datasheet(cfg)
+	default:
+		d.measured(cfg)
+	}
+	return nil
+}
+
+// maxMemoryKB bounds DRAM and SRAM sizes (1 TiB) so the KB-to-bytes product
+// cannot overflow.
+const maxMemoryKB = 1 << 30
+
+// SetMemory sizes cfg's DRAM cache and SRAM write buffer from KB counts,
+// where -1 means the paper's default: a 2 MB DRAM cache, except for the hp
+// trace, which was captured below the buffer cache and runs uncached
+// (§4.1); and a 32 KB SRAM buffer in front of a single disk only. Call it
+// after the trace and device are set.
+func SetMemory(cfg *core.Config, dramKB, sramKB int64) error {
+	if err := errors.Join(checkMemoryKB("DRAM", dramKB), checkMemoryKB("SRAM", sramKB)); err != nil {
+		return err
+	}
+	switch {
+	case dramKB >= 0:
+		cfg.DRAMBytes = units.Bytes(dramKB) * units.KB
+	case cfg.Trace.Name == "hp":
+		cfg.DRAMBytes = 0
+	default:
+		cfg.DRAMBytes = 2 * units.MB
+	}
+	switch {
+	case sramKB >= 0:
+		cfg.SRAMBytes = units.Bytes(sramKB) * units.KB
+	case cfg.Array == nil && cfg.Kind == core.MagneticDisk:
+		cfg.SRAMBytes = 32 * units.KB
+	}
+	return nil
+}
+
+// checkMemoryKB rejects memory sizes outside [-1, maxMemoryKB] KB.
+func checkMemoryKB(what string, kbs ...int64) error {
+	for _, kb := range kbs {
+		if kb < -1 || kb > maxMemoryKB {
+			return fmt.Errorf("%s size %d KB out of [-1, %d]", what, kb, maxMemoryKB)
 		}
 	}
-	switch name {
-	case "cu140":
-		cfg.Kind = core.MagneticDisk
-		return pick(
-			func() bool { cfg.Disk = device.CU140Measured(); return true },
-			func() bool { cfg.Disk = device.CU140Datasheet(); return true },
-		)
-	case "kh":
-		cfg.Kind = core.MagneticDisk
-		return pick(
-			func() bool { return false },
-			func() bool { cfg.Disk = device.KittyhawkDatasheet(); return true },
-		)
-	case "sdp10":
-		cfg.Kind = core.FlashDisk
-		return pick(
-			func() bool { cfg.FlashDiskParams = device.SDP10Measured(); return true },
-			func() bool { cfg.FlashDiskParams = device.SDP10Datasheet(); return true },
-		)
-	case "sdp5":
-		cfg.Kind = core.FlashDisk
-		return pick(
-			func() bool { return false },
-			func() bool { cfg.FlashDiskParams = device.SDP5Datasheet(); return true },
-		)
-	case "intel":
-		cfg.Kind = core.FlashCard
-		return pick(
-			func() bool { cfg.FlashCardParams = device.IntelSeries2Measured(); return true },
-			func() bool { cfg.FlashCardParams = device.IntelSeries2Datasheet(); return true },
-		)
-	case "intel2+":
-		cfg.Kind = core.FlashCard
-		return pick(
-			func() bool { return false },
-			func() bool { cfg.FlashCardParams = device.IntelSeries2PlusDatasheet(); return true },
-		)
-	default:
-		return fmt.Errorf("unknown device %q", name)
-	}
+	return nil
 }

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 
 	"mobilestorage/internal/core"
 	"mobilestorage/internal/fault"
@@ -19,6 +21,10 @@ const maxRuns = 1_000_000
 // maxWorkers caps a job's requested shard concurrency.
 const maxWorkers = 256
 
+// maxSeconds bounds the time axes (about 31 years) so their conversion to
+// int64 microseconds cannot overflow.
+const maxSeconds = 1e9
+
 // Spec is the body of POST /jobs: a parameter grid over the paper's knobs.
 // Every list axis defaults to a single paper-default entry, so the empty
 // spec is one run of the synthetic workload on the cu140 disk; the
@@ -29,7 +35,7 @@ type Spec struct {
 	// Name is a free-form label echoed in listings and the dashboard.
 	Name string `json:"name,omitempty"`
 
-	// Devices are catalog device names (see DeviceNames). Default: cu140.
+	// Devices are catalog device names (see SelectDevice). Default: cu140.
 	Devices []string `json:"devices,omitempty"`
 	// Source picks device parameter provenance: "", "measured", "datasheet".
 	Source string `json:"source,omitempty"`
@@ -169,6 +175,10 @@ type validated struct {
 	total int
 }
 
+// probeTrace is the one-record trace validate checks core-level knobs on.
+var probeTrace = &trace.Trace{Name: "probe", BlockSize: units.KB,
+	Records: []trace.Record{{Op: trace.Write, Size: units.KB}}}
+
 // validate normalizes the spec and checks every axis. The grid is sized
 // with stepwise int64 multiplication checked against maxRuns after every
 // factor: Replicas and the axis lengths arrive from untrusted JSON, and a
@@ -183,7 +193,7 @@ func validate(s Spec) (*validated, error) {
 		}
 	}
 	for _, name := range s.Traces {
-		if !knownTrace(name) {
+		if !slices.Contains(workload.Names(), name) {
 			return nil, fmt.Errorf("unknown trace %q (want one of %v)", name, workload.Names())
 		}
 	}
@@ -192,9 +202,20 @@ func validate(s Spec) (*validated, error) {
 			return nil, fmt.Errorf("utilization %.3f out of (0, 0.99]", u)
 		}
 	}
+	if err := errors.Join(checkMemoryKB("dram_kb", s.DRAMKB...), checkMemoryKB("sram_kb", s.SRAMKB...)); err != nil {
+		return nil, err
+	}
+	// Core owns the cleaning-policy names and the system fault-plan rules:
+	// probe each value once so a bad one fails the job at submit instead
+	// of failing every run.
+	for _, c := range s.Cleaning {
+		if err := (core.Config{Trace: probeTrace, CleaningPolicy: c}).Validate(); err != nil {
+			return nil, err
+		}
+	}
 	for _, sd := range s.SpinDownS {
-		if sd < 0 {
-			return nil, fmt.Errorf("negative spin-down threshold %g", sd)
+		if !(sd >= 0 && sd <= maxSeconds) {
+			return nil, fmt.Errorf("spin-down threshold %g s out of [0, %g]", sd, maxSeconds)
 		}
 	}
 	if s.SynthOps < 0 {
@@ -206,12 +227,15 @@ func validate(s Spec) (*validated, error) {
 	if s.Workers < 0 || s.Workers > maxWorkers {
 		return nil, fmt.Errorf("workers %d out of [0, %d]", s.Workers, maxWorkers)
 	}
-	if s.SampleEveryS < 0 {
-		return nil, fmt.Errorf("negative sample_every_s %g", s.SampleEveryS)
+	if !(s.SampleEveryS >= 0 && s.SampleEveryS <= maxSeconds) {
+		return nil, fmt.Errorf("sample_every_s %g out of [0, %g]", s.SampleEveryS, maxSeconds)
 	}
 	plans := make([]*fault.Plan, 0, len(s.FaultPlans))
 	for i, raw := range s.FaultPlans {
 		p, err := fault.ParsePlan(raw)
+		if err == nil {
+			err = core.Config{Trace: probeTrace, Faults: p}.Validate()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("fault_plans[%d]: %w", i, err)
 		}
@@ -298,15 +322,6 @@ func expand(s Spec) (*expandedJob, error) {
 	return v.materialize(), nil
 }
 
-func knownTrace(name string) bool {
-	for _, n := range workload.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // generateTrace materializes one run's workload.
 func (ej *expandedJob) generateTrace(rs RunSpec) (*trace.Trace, error) {
 	if rs.Trace == "synth" && ej.spec.SynthOps > 0 {
@@ -315,8 +330,8 @@ func (ej *expandedJob) generateTrace(rs RunSpec) (*trace.Trace, error) {
 	return workload.GenerateByName(rs.Trace, rs.Seed)
 }
 
-// buildConfig assembles the core.Config for one run, mirroring the
-// storagesim CLI's defaulting (DRAM 2 MB except hp, SRAM 32 KB for disks).
+// buildConfig assembles the core.Config for one run with the storagesim
+// CLI's device catalog and memory defaults.
 func (ej *expandedJob) buildConfig(rs RunSpec, t *trace.Trace, prep *core.TracePrep) (core.Config, error) {
 	cfg := core.Config{
 		Trace:            t,
@@ -329,19 +344,8 @@ func (ej *expandedJob) buildConfig(rs RunSpec, t *trace.Trace, prep *core.TraceP
 	if err := SelectDevice(&cfg, rs.Device, ej.spec.Source); err != nil {
 		return cfg, err
 	}
-	switch {
-	case rs.DRAMKB >= 0:
-		cfg.DRAMBytes = units.Bytes(rs.DRAMKB) * units.KB
-	case t.Name == "hp":
-		cfg.DRAMBytes = 0
-	default:
-		cfg.DRAMBytes = 2 * units.MB
-	}
-	switch {
-	case rs.SRAMKB >= 0:
-		cfg.SRAMBytes = units.Bytes(rs.SRAMKB) * units.KB
-	case cfg.Kind == core.MagneticDisk:
-		cfg.SRAMBytes = 32 * units.KB
+	if err := SetMemory(&cfg, rs.DRAMKB, rs.SRAMKB); err != nil {
+		return cfg, err
 	}
 	if rs.Plan >= 0 {
 		cfg.Faults = ej.plans[rs.Plan]

@@ -96,7 +96,15 @@ func TestExpandValidation(t *testing.T) {
 		{"negative ops", Spec{SynthOps: -5}, "synth_ops"},
 		{"too many workers", Spec{Workers: maxWorkers + 1}, "workers"},
 		{"negative sample", Spec{SampleEveryS: -1}, "sample_every_s"},
+		{"overflowing spindown", Spec{SpinDownS: []float64{1e300}}, "spin-down"},
+		{"overflowing sample", Spec{SampleEveryS: 1e300}, "sample_every_s"},
 		{"bad fault plan", Spec{FaultPlans: []json.RawMessage{json.RawMessage(`{"nope`)}}, "fault_plans[0]"},
+		{"bad cleaning", Spec{Cleaning: []string{"greedy", "bogus"}}, "unknown cleaning policy"},
+		{"dram below -1", Spec{DRAMKB: []int64{-5}}, "dram_kb"},
+		{"overflowing dram", Spec{DRAMKB: []int64{1 << 54}}, "dram_kb"},
+		{"sram below -1", Spec{SRAMKB: []int64{32, -2}}, "sram_kb"},
+		{"oversized sram", Spec{SRAMKB: []int64{maxMemoryKB + 1}}, "sram_kb"},
+		{"member-only plan field", Spec{FaultPlans: []json.RawMessage{json.RawMessage(`{"die_at_us":5}`)}}, "fault_plans[0]"},
 		{"grid too big", Spec{Replicas: maxRuns + 1}, "limit"},
 		// A replica count chosen so the naive 9-factor int product wraps to a
 		// tiny positive total (4 devices × (2^62+1) ≡ 4 mod 2^64) must still

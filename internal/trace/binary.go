@@ -107,10 +107,13 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 	if count > maxRecords {
 		return nil, fmt.Errorf("trace: unreasonable record count %d", count)
 	}
+	// The count is untrusted until the records arrive: preallocate at most
+	// 4096 records (128 KiB) and let append grow the rest, so a short input
+	// claiming a huge count fails without a huge allocation.
 	t := &Trace{
 		Name:      string(name),
 		BlockSize: units.Bytes(blockSize),
-		Records:   make([]Record, 0, count),
+		Records:   make([]Record, 0, min(count, 1<<12)),
 	}
 	var now units.Time
 	for i := uint64(0); i < count; i++ {
