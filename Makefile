@@ -21,9 +21,13 @@ test:
 # Differential equivalence suite: the full trace × device × cache × fault
 # matrix replayed through the frozen reference loop and the optimized loop,
 # requiring byte-identical results, event streams, and observer logs, plus
-# the physics property tests. See docs/PERFORMANCE.md.
+# the physics property tests, and the SRAM write buffer's seed corpus
+# diffed against its original map-and-sort dirty set (the reference loop
+# replays through the same buffer, so the matrix cannot see it). See
+# docs/PERFORMANCE.md.
 test-diff:
 	$(GO) test ./internal/core/difftest/ -v -run 'TestRunEquivalence|TestPrepEquivalence|TestEquivalenceWithWrongPrep|TestHybridBoundaryEquivalence|TestArrayEquivalence|TestArrayMirrorMatchesSingle|TestResponseProperties|TestEnergyProperties|TestWarmSnapshotConservation|TestWearProperties|FuzzRunEquivalence'
+	$(GO) test ./internal/sram/ -v -run 'FuzzBufferEquivalence|TestBufferEquivalenceRandom'
 
 # Race-detector pass over the whole module; the parallel experiment sweeps
 # and shared observability scopes are what this guards.

@@ -58,8 +58,8 @@ func run() (err error) {
 		sramKB    = flag.Int64("sram", -1, "SRAM write buffer in KB (default: 32 for disks, 0 for flash)")
 		spinDown  = flag.Float64("spindown", 5, "disk spin-down threshold in seconds (0 = never)")
 		util      = flag.Float64("utilization", 0.8, "flash storage utilization")
-		capMB     = flag.Int64("capacity", 0, "explicit flash capacity in MB (overrides utilization)")
-		storedMB  = flag.Int64("stored", 0, "live data preallocated in flash, MB (default: trace footprint)")
+		capMB     = flag.Int64("capacity", 0, "explicit flash capacity in MB, at most 1048576 (overrides utilization)")
+		storedMB  = flag.Int64("stored", 0, "live data preallocated in flash, MB, at most 1048576 (default: trace footprint)")
 		async     = flag.Bool("async", false, "asynchronous flash-disk erasure (SDP5A)")
 		policy    = flag.String("cleaning", "greedy", "flash-card cleaning policy: greedy, cost-benefit, fifo")
 		onDemand  = flag.Bool("ondemand", false, "clean flash card only on demand")
@@ -88,6 +88,9 @@ func run() (err error) {
 		return runService(*serve, *drainS)
 	}
 
+	if err := errors.Join(checkFlashMB("capacity", *capMB), checkFlashMB("stored", *storedMB)); err != nil {
+		return err
+	}
 	t, indexStats, err := buildTrace(*traceFile, *traceName, *seed, *mixName)
 	if err != nil {
 		return err
@@ -275,6 +278,18 @@ func run() (err error) {
 	printResult(res, *verbose)
 	if reg != nil {
 		fmt.Print(reg.String())
+	}
+	return nil
+}
+
+// maxFlashMB bounds -capacity and -stored at 1 TiB, the ceiling -dram and
+// -sram have, so the MB-to-bytes product cannot wrap.
+const maxFlashMB = 1 << 20
+
+// checkFlashMB rejects a flash size flag outside [0, maxFlashMB] MB.
+func checkFlashMB(flag string, mb int64) error {
+	if mb < 0 || mb > maxFlashMB {
+		return fmt.Errorf("-%s %d MB out of [0, %d]", flag, mb, maxFlashMB)
 	}
 	return nil
 }

@@ -157,6 +157,32 @@ func TestFlagAudit(t *testing.T) {
 	}
 }
 
+// TestFlashSizeFlagBounds pins that -capacity and -stored reject MB
+// counts whose byte size would wrap, naming the flag: 2^44+64 MB and
+// -2^44+64 MB both wrap to 64 MB in int64 bytes.
+func TestFlashSizeFlagBounds(t *testing.T) {
+	for _, c := range []struct{ flag, mb string }{
+		{"capacity", "17592186044480"},
+		{"capacity", "-17592186044352"},
+		{"stored", "17592186044480"},
+		{"stored", "-17592186044352"},
+		{"capacity", "-1"},
+	} {
+		out, code := runCommand(t, "-trace", "dos", "-device", "intel", "-"+c.flag, c.mb)
+		if code == 0 || !strings.Contains(out, "-"+c.flag+" "+c.mb+" MB") {
+			t.Errorf("-%s %s: exit %d, want an error naming the flag:\n%s", c.flag, c.mb, code, out)
+		}
+	}
+	// The bound itself is checked without a run: a flash card that large
+	// would need gigabytes of model state.
+	if err := checkFlashMB("capacity", maxFlashMB); err != nil {
+		t.Errorf("-capacity at the bound rejected: %v", err)
+	}
+	if err := checkFlashMB("capacity", maxFlashMB+1); err == nil {
+		t.Error("-capacity above the bound accepted")
+	}
+}
+
 func TestSelectDevice(t *testing.T) {
 	cases := []struct {
 		name, source string

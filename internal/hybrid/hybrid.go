@@ -18,7 +18,7 @@ package hybrid
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/disk"
@@ -53,6 +53,9 @@ type Cache struct {
 	head, tail *slot
 	freeCache  []int64 // free cache block indices
 	dirtyCount int64
+	// destageBlocks is destage's scratch list of dirty disk blocks, kept
+	// across batches so a destage allocates nothing once it has grown.
+	destageBlocks []int64
 
 	destageDoneAt units.Time
 
@@ -315,13 +318,14 @@ func (c *Cache) destage(at units.Time) {
 	if c.dirtyCount == 0 {
 		return
 	}
-	var blocks []int64
+	blocks := c.destageBlocks[:0]
 	for b, s := range c.slots {
 		if s.dirty {
 			blocks = append(blocks, b)
 		}
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	slices.Sort(blocks)
+	c.destageBlocks = blocks
 	completion := at
 	runStart, runLen := blocks[0], int64(1)
 	emit := func() {

@@ -17,7 +17,7 @@ package sram
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mobilestorage/internal/device"
 	"mobilestorage/internal/energy"
@@ -60,8 +60,10 @@ type Buffer struct {
 	inner     device.Device
 	meter     *energy.Meter
 
-	// dirty holds buffered block indices.
-	dirty map[int64]struct{}
+	// dirty holds the buffered block indices in ascending order, so the
+	// buffered blocks of any block range are one contiguous sub-slice and a
+	// drain flushes them in order without sorting.
+	dirty []int64
 	// drainDoneAt is when the in-flight background drain completes; writes
 	// that find the buffer full wait for it.
 	drainDoneAt units.Time
@@ -120,7 +122,6 @@ func New(params device.MemoryParams, size, blockSize units.Bytes, inner device.D
 		capBlocks: int(size / blockSize),
 		inner:     inner,
 		meter:     energy.NewMeter(),
-		dirty:     make(map[int64]struct{}),
 	}
 	for _, o := range opts {
 		o(b)
@@ -191,21 +192,13 @@ func (b *Buffer) Access(req device.Request) units.Time {
 // path, while the platters turn.
 func (b *Buffer) read(req device.Request) units.Time {
 	first, last := b.blockRange(req.Addr, req.Size)
-	allBuffered := len(b.dirty) > 0
-	anyBuffered := false
-	for blk := first; blk <= last; blk++ {
-		if _, ok := b.dirty[blk]; ok {
-			anyBuffered = true
-		} else {
-			allBuffered = false
-		}
-	}
-	if allBuffered {
+	lo, hi := b.span(first, last)
+	if hi > lo && int64(hi-lo) == last-first+1 {
 		return req.Time + b.accessTime(req.Size)
 	}
 	start := req.Time
-	if anyBuffered {
-		start = b.flushRange(start, first, last)
+	if hi > lo {
+		start = b.flushRange(start, lo, hi)
 	}
 	wasSpinning := true
 	if ss, ok := b.inner.(spinStater); ok {
@@ -229,18 +222,15 @@ func (b *Buffer) write(req device.Request) units.Time {
 		return b.inner.Access(req)
 	}
 	first, last := b.blockRange(req.Addr, req.Size)
-	newBlocks := 0
-	for blk := first; blk <= last; blk++ {
-		if _, ok := b.dirty[blk]; !ok {
-			newBlocks++
-		}
-	}
+	lo, hi := b.span(first, last)
+	newBlocks := int(last-first+1) - (hi - lo)
 	start := req.Time
 	if len(b.dirty)+newBlocks > b.capBlocks {
 		if b.drainDoneAt <= start {
 			// Full with no drain in flight: kick one off in the background;
 			// the freed space is available immediately in model state.
 			b.drain(start)
+			lo, hi = 0, 0
 		} else {
 			// Full while a drain is already running (writes arriving
 			// faster than the device absorbs them): the write must wait.
@@ -254,9 +244,7 @@ func (b *Buffer) write(req device.Request) units.Time {
 			start = b.drainDoneAt
 		}
 	}
-	for blk := first; blk <= last; blk++ {
-		b.dirty[blk] = struct{}{}
-	}
+	b.insert(lo, hi, first, last)
 	completion := start + b.accessTime(req.Size)
 
 	// High-water background drain: once the buffer is half full, spin the
@@ -274,35 +262,27 @@ func (b *Buffer) write(req device.Request) units.Time {
 // the device stays busy until drainDoneAt. Returns the completion time of
 // the first flushed extent (when the first freed space is truly available).
 func (b *Buffer) drain(now units.Time) units.Time {
-	blocks := make([]int64, 0, len(b.dirty))
-	for blk := range b.dirty {
-		blocks = append(blocks, blk)
-	}
-	firstDone := b.flushBlocks(now, blocks)
+	firstDone := b.flushBlocks(now, b.dirty)
+	b.dirty = b.dirty[:0]
 	return firstDone
 }
 
-// flushRange writes back buffered blocks overlapping [first, last],
-// returning the completion time.
-func (b *Buffer) flushRange(now units.Time, first, last int64) units.Time {
-	var blocks []int64
-	for blk := first; blk <= last; blk++ {
-		if _, ok := b.dirty[blk]; ok {
-			blocks = append(blocks, blk)
-		}
-	}
-	return b.flushBlocks(now, blocks)
+// flushRange writes back the buffered blocks dirty[lo:hi] and removes them
+// from the buffer, returning the completion time.
+func (b *Buffer) flushRange(now units.Time, lo, hi int) units.Time {
+	done := b.flushBlocks(now, b.dirty[lo:hi])
+	b.dirty = slices.Delete(b.dirty, lo, hi)
+	return done
 }
 
-// flushBlocks writes the given buffered blocks to the device as coalesced
-// extents and removes them from the buffer. It returns the completion time
-// of the first extent; the completion of the whole flush is recorded in
-// drainDoneAt.
+// flushBlocks writes the given ascending buffered blocks to the device as
+// coalesced extents; the caller removes them from the buffer. It returns
+// the completion time of the first extent; the completion of the whole
+// flush is recorded in drainDoneAt.
 func (b *Buffer) flushBlocks(now units.Time, blocks []int64) units.Time {
 	if len(blocks) == 0 {
 		return now
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
 	write := b.inner.Access
 	if bg, ok := b.inner.(backgrounder); ok {
 		write = bg.Background
@@ -332,9 +312,6 @@ func (b *Buffer) flushBlocks(now units.Time, blocks []int64) units.Time {
 		runStart, runLen = blk, 1
 	}
 	emit()
-	for _, blk := range blocks {
-		delete(b.dirty, blk)
-	}
 	b.flushes++
 	b.cFlushes.Inc()
 	b.cFlushedBlks.Add(int64(len(blocks)))
@@ -354,9 +331,28 @@ func (b *Buffer) drop(addr, size units.Bytes) {
 	if size <= 0 {
 		return
 	}
-	first, last := b.blockRange(addr, size)
-	for blk := first; blk <= last; blk++ {
-		delete(b.dirty, blk)
+	lo, hi := b.span(b.blockRange(addr, size))
+	b.dirty = slices.Delete(b.dirty, lo, hi)
+}
+
+// span returns the bounds of the buffered blocks in [first, last]: they are
+// dirty[lo:hi].
+func (b *Buffer) span(first, last int64) (lo, hi int) {
+	lo, _ = slices.BinarySearch(b.dirty, first)
+	hi, _ = slices.BinarySearch(b.dirty[lo:], last+1)
+	return lo, lo + hi
+}
+
+// insert marks every block of [first, last] buffered, given that the ones
+// already buffered are dirty[lo:hi]: it opens a gap for the missing blocks
+// in one shift and writes the whole range into it.
+func (b *Buffer) insert(lo, hi int, first, last int64) {
+	n := len(b.dirty)
+	grow := int(last-first+1) - (hi - lo)
+	b.dirty = slices.Grow(b.dirty, grow)[:n+grow]
+	copy(b.dirty[hi+grow:], b.dirty[hi:n])
+	for i := lo; i < hi+grow; i++ {
+		b.dirty[i] = first + int64(i-lo)
 	}
 }
 

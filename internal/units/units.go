@@ -41,6 +41,8 @@ func FromMilliseconds(ms float64) Time { return Time(math.Round(ms * float64(Mil
 // String renders a duration with an auto-selected unit, e.g. "25.7ms".
 func (t Time) String() string {
 	switch {
+	case t == math.MinInt64: // -t would overflow back to t
+		return fmt.Sprintf("%.3gh", float64(t)/float64(Hour))
 	case t < 0:
 		return "-" + (-t).String()
 	case t < Millisecond:
@@ -92,6 +94,8 @@ func (b Bytes) MBytes() float64 { return float64(b) / float64(MB) }
 // String renders a size with an auto-selected unit, e.g. "64KB".
 func (b Bytes) String() string {
 	switch {
+	case b == math.MinInt64: // -b would overflow back to b
+		return fmt.Sprintf("%.4gGB", float64(b)/float64(GB))
 	case b < 0:
 		return "-" + (-b).String()
 	case b < KB:

@@ -53,6 +53,8 @@ func TestTimeString(t *testing.T) {
 		{90 * Second, "1.5min"},
 		{2 * Hour, "2h"},
 		{-Second, "-1s"},
+		{math.MaxInt64, "2.56e+09h"},
+		{math.MinInt64, "-2.56e+09h"},
 	}
 	for _, c := range cases {
 		if got := c.tm.String(); got != c.want {
@@ -72,6 +74,8 @@ func TestBytesString(t *testing.T) {
 		{10 * MB, "10MB"},
 		{3 * GB, "3GB"},
 		{-KB, "-1KB"},
+		{math.MaxInt64, "8.59e+09GB"},
+		{math.MinInt64, "-8.59e+09GB"},
 	}
 	for _, c := range cases {
 		if got := c.b.String(); got != c.want {
